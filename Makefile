@@ -10,9 +10,9 @@ GO ?= go
 # lower it to make ci pass.
 COVERAGE_FLOOR = 83.0
 
-.PHONY: ci vet build test race chaos grow-chaos grow-smoke stress fuzz-smoke cover-check metrics-lint bench bench-grid bench-json bench-smoke bench-seu-smoke bench-serve bench-serve-smoke bench-scale bench-scale-smoke clean
+.PHONY: ci vet build test race perfbench-check chaos grow-chaos grow-smoke stress fuzz-smoke cover-check metrics-lint bench bench-grid bench-json bench-smoke bench-seu-smoke bench-serve bench-serve-smoke bench-scale bench-scale-smoke clean
 
-ci: vet build test race chaos grow-chaos grow-smoke stress fuzz-smoke cover-check metrics-lint bench-smoke bench-seu-smoke bench-serve-smoke bench-scale-smoke
+ci: vet build test race perfbench-check chaos grow-chaos grow-smoke stress fuzz-smoke cover-check metrics-lint bench-smoke bench-seu-smoke bench-serve-smoke bench-scale-smoke
 
 vet:
 	$(GO) vet ./...
@@ -25,6 +25,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# the benchmark is a module of its own (perfbench/go.mod replaces
+# datasculpt with this checkout), so `./...` above never builds it: vet
+# and test it here, so an internal/ API change that breaks it fails ci
+# instead of the next benchmark run
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # fault-injection grid under the race detector: a checkpointed chaos
 # sweep is interrupted, resumed, and must render byte-identically

@@ -33,8 +33,8 @@ func main() {
 	dsName := flag.String("dataset", "youtube", "dataset name (youtube, sms, imdb, yelp, agnews, spouse)")
 	variant := flag.String("variant", "base", "prompting variant: base, cot, sc, kate")
 	model := flag.String("model", "gpt-3.5", "LLM profile (gpt-3.5, gpt-4, llama2-7b, llama2-13b, llama2-70b)")
-	smp := flag.String("sampler", "random", "query instance sampler: random, uncertain, seu")
-	labelModel := flag.String("labelmodel", "metal", "label model: metal, majority, triplet")
+	smp := flag.String("sampler", "random", "query instance sampler: random, uncertain, seu, qbc, coreset")
+	labelModel := flag.String("labelmodel", "metal", "label model: metal, majority, triplet, dawid-skene, weighted")
 	iterations := flag.Int("iterations", 50, "query iterations")
 	seeds := flag.Int("seeds", 1, "number of seeds to average")
 	scale := flag.Float64("scale", 1.0, "dataset scale: (0,1) shrinks, 1 is Table-1 size, >1 grows every split proportionally")

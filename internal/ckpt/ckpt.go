@@ -1,14 +1,17 @@
 // Package ckpt is the durable JSONL state machinery shared by every
 // subsystem that must survive a kill: the experiment grid checkpoints
-// (PR 3) and the online growth loop's cycle journals. One record is one
-// JSON line, appended with a single Write call and fsynced, so a crash
-// can at worst tear the final line — which the loader tolerates and the
-// resumed process simply recomputes. A malformed line anywhere else is
-// reported as corruption, never silently skipped.
+// and the online growth loop's cycle journals. One record is one JSON
+// line, appended with a single Write call and fsynced, so a crash can at
+// worst tear the final line. A record counts only once its newline is on
+// disk: the loader skips a torn tail and Open cuts it off before the
+// resumed process appends, so the recomputed record starts on a line of
+// its own. A malformed line anywhere else is reported as corruption,
+// never silently skipped.
 package ckpt
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -27,13 +30,46 @@ type Writer struct {
 	f  *os.File
 }
 
-// Open opens (creating if needed) a JSONL file for appending.
+// Open opens (creating if needed) a JSONL file for appending, after
+// cutting off a torn final line a crash mid-append left behind.
 func Open(path string) (*Writer, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: opening %s: %w", path, err)
 	}
+	if err := cutTornTail(f); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("ckpt: repairing %s: %w", path, err)
+	}
 	return &Writer{f: f}, nil
+}
+
+// cutTornTail truncates f just after its last newline. It reads backwards
+// from EOF, so an intact file costs one small read however long it is.
+func cutTornTail(f *os.File) error {
+	st, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	size, cut := st.Size(), int64(0)
+	buf := make([]byte, 4096)
+	for off := size; off > 0 && cut == 0; {
+		n := min(off, int64(len(buf)))
+		off -= n
+		if _, err := f.ReadAt(buf[:n], off); err != nil {
+			return err
+		}
+		if i := bytes.LastIndexByte(buf[:n], '\n'); i >= 0 {
+			cut = off + int64(i) + 1
+		}
+	}
+	if cut == size {
+		return nil
+	}
+	if err := f.Truncate(cut); err != nil {
+		return err
+	}
+	return f.Sync()
 }
 
 // Append writes one record as a single JSONL line and syncs it to disk.
@@ -80,7 +116,8 @@ func Append(path string, v any) error {
 // Load reads every intact record of a JSONL file into T values. A
 // missing file is an empty checkpoint (first run), and a torn or
 // malformed final line — the footprint of a crash mid-append — is
-// skipped rather than fatal. A malformed line anywhere else is an
+// skipped rather than fatal; a final line without its newline is torn
+// even when it parses. A malformed line anywhere else is an
 // error: that is corruption, not a crash artifact. valid, when
 // non-nil, extends "malformed" to records that decode but fail the
 // caller's shape check (e.g. a required sub-object missing).
@@ -98,6 +135,7 @@ func Load[T any](path string, valid func(*T) bool) ([]T, error) {
 	var badLine int // 1-based line number of the first malformed line
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 64*1024), maxLine)
+	sc.Split(scanTerminated)
 	line := 0
 	for sc.Scan() {
 		line++
@@ -119,4 +157,16 @@ func Load[T any](path string, valid func(*T) bool) ([]T, error) {
 		return nil, fmt.Errorf("ckpt: reading %s: %w", path, err)
 	}
 	return records, nil
+}
+
+// scanTerminated splits lines like bufio.ScanLines but drops a final
+// line that has no newline: the tail Open cuts off.
+func scanTerminated(data []byte, atEOF bool) (int, []byte, error) {
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		return i + 1, data[:i], nil
+	}
+	if atEOF {
+		return len(data), nil, nil
+	}
+	return 0, nil, nil
 }

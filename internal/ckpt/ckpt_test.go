@@ -137,3 +137,96 @@ func TestBlankLinesIgnored(t *testing.T) {
 		t.Fatalf("got %d records, want 2", len(recs))
 	}
 }
+
+// tear appends a prefix of a record with no newline: the bytes a crash
+// mid-append leaves behind.
+func tear(t *testing.T, path, fragment string) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(fragment); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func loadNs(t *testing.T, path string) []int {
+	t.Helper()
+	recs, err := Load[rec](path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ns []int
+	for _, r := range recs {
+		ns = append(ns, r.N)
+	}
+	return ns
+}
+
+// TestTornTailRepairedOnAppend is the torn-write resume regression:
+// Append(1), a torn write, Append(2), Append(3) must load [1 2 3]. Before
+// Open cut the fragment, record 2 was glued onto it and lost, and record
+// 3 turned the pair into a mid-file malformed line that failed every
+// later Load.
+func TestTornTailRepairedOnAppend(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "c.jsonl")
+	if err := Append(path, rec{N: 1}); err != nil {
+		t.Fatal(err)
+	}
+	tear(t, path, `{"n":9,"na`)
+	for _, n := range []int{2, 3} {
+		if err := Append(path, rec{N: n}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := loadNs(t, path); len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
+		t.Fatalf("loaded %v, want [1 2 3]", got)
+	}
+}
+
+// TestTornTailCutOnOpen: Open cuts whatever follows the last newline — a
+// fragment longer than one backwards read block, a fragment that happens
+// to parse, a file holding only a fragment — and Load agrees with it
+// beforehand, so a resumed process never replays a record Open erases.
+func TestTornTailCutOnOpen(t *testing.T) {
+	for name, fragment := range map[string]string{
+		"long":     `{"n":9,"name":"` + strings.Repeat("x", 10000),
+		"parsable": `{"n":9}`,
+	} {
+		for _, intact := range []int{0, 2} {
+			path := filepath.Join(t.TempDir(), "c.jsonl")
+			for n := 1; n <= intact; n++ {
+				if err := Append(path, rec{N: n}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if intact == 0 {
+				if err := os.WriteFile(path, nil, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tear(t, path, fragment)
+			if got := loadNs(t, path); len(got) != intact {
+				t.Fatalf("%s/%d: loaded %v before repair, want %d intact records", name, intact, got, intact)
+			}
+			w, err := Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Append(rec{N: 7}); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			got := loadNs(t, path)
+			if len(got) != intact+1 || got[intact] != 7 {
+				t.Fatalf("%s/%d: loaded %v after repair, want %d intact records then 7", name, intact, got, intact)
+			}
+		}
+	}
+}

@@ -45,17 +45,9 @@ func waitCounter(t *testing.T, read func() float64, want float64, what string) {
 // the loop resumes.
 func TestServeLoadShed(t *testing.T) {
 	const depth = 4
-	s, reg, d := newServer(t, serve.Options{MaxBatch: 1, MaxWait: time.Millisecond, QueueDepth: depth})
+	s, reg, d := newServer(t, serve.Options{MaxBatch: 1, QueueDepth: depth})
 
-	held := make(chan struct{})
-	release := make(chan struct{})
-	var once sync.Once
-	s.SetBeforeBatch(func() {
-		once.Do(func() {
-			close(held)
-			<-release
-		})
-	})
+	held, release := holdLoop(s)
 
 	var wg sync.WaitGroup
 	errs := make(chan error, depth+1)
@@ -125,7 +117,7 @@ func TestServeLoadShed(t *testing.T) {
 // are dropped (serve_dropped_total), while a live request sharing the
 // batch is answered with the exact offline prediction.
 func TestServeCancelledDropped(t *testing.T) {
-	s, reg, d := newServer(t, serve.Options{MaxBatch: 2, MaxWait: 300 * time.Millisecond})
+	s, reg, d := newServer(t, serve.Options{MaxBatch: 2})
 	b, _ := trained(t)
 	texts, probas, labels := offlineExpected(b, d)
 

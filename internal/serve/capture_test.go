@@ -21,7 +21,7 @@ func TestServeCaptureHook(t *testing.T) {
 		captured []string
 	)
 	s, _, d := newServer(t, serve.Options{
-		MaxBatch: 1, MaxWait: time.Millisecond, QueueDepth: depth,
+		MaxBatch: 1, QueueDepth: depth,
 		Capture: func(texts []string) {
 			mu.Lock()
 			captured = append(captured, texts...)
@@ -29,15 +29,7 @@ func TestServeCaptureHook(t *testing.T) {
 		},
 	})
 
-	held := make(chan struct{})
-	release := make(chan struct{})
-	var once sync.Once
-	s.SetBeforeBatch(func() {
-		once.Do(func() {
-			close(held)
-			<-release
-		})
-	})
+	held, release := holdLoop(s)
 
 	var wg sync.WaitGroup
 	admitted := []string{d.Valid[0].Text, d.Valid[1].Text, d.Valid[2].Text}

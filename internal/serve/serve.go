@@ -1,8 +1,8 @@
 // Package serve turns a model bundle into an online labeling service.
 //
-// The core is a micro-batching coalescer: every incoming text becomes one
-// queue item, a single batch loop gathers items until the batch cap or a
-// short wait deadline is hit, and the whole batch flows through the same
+// The core is a dispatch-on-drain coalescer: every request becomes one
+// queue item (split at the batch cap), and a single batch loop takes what
+// is queued and dispatches it at once, with no timer, through the same
 // parallel TransformAll/PredictProbaAll hot path the offline evaluator
 // uses. Because featurization and prediction are per-example independent
 // with fixed-order reductions, batch composition cannot influence any
@@ -23,6 +23,7 @@ import (
 	"datasculpt/internal/dataset"
 	"datasculpt/internal/labelmodel"
 	"datasculpt/internal/lf"
+	"datasculpt/internal/metrics"
 	"datasculpt/internal/obs"
 )
 
@@ -38,8 +39,8 @@ var ErrOverloaded = errors.New("serve: coalescer queue full")
 type Options struct {
 	// MaxBatch caps how many texts one batch carries (default 64).
 	MaxBatch int
-	// MaxWait is how long the first text of a batch waits for company
-	// before the batch is dispatched anyway (default 2ms).
+	// Deprecated: MaxWait is ignored. Batches dispatch as soon as the
+	// queue drains, so no request waits for company.
 	MaxWait time.Duration
 	// Workers bounds the goroutines featurization and prediction fan out
 	// over per batch (<= 1 sequential; output is identical either way).
@@ -65,9 +66,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 64
-	}
-	if o.MaxWait <= 0 {
-		o.MaxWait = 2 * time.Millisecond
 	}
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 16 * o.MaxBatch
@@ -109,24 +107,26 @@ type Prediction struct {
 }
 
 // request is one Label call in flight: its examples, its result slots,
-// and the countdown that fires done when every slot is filled. ctx is
-// the caller's context: once it is cancelled the batch loop drops the
-// request's remaining queue items instead of featurizing them, so a
-// client that disconnected before its micro-batch fired does not
-// consume batch capacity.
+// and the countdown of queue items that fires done when the last one is
+// settled. ctx is the caller's context: once it is cancelled the batch
+// loop drops the request's remaining queue items instead of featurizing
+// them, so a client that disconnected does not consume batch capacity.
 type request struct {
 	ctx       context.Context
 	examples  []*dataset.Example
 	preds     []Prediction
 	explain   bool
+	dropped   bool      // set by the batch loop before done closes
+	queued    time.Time // when the request entered the queue
 	remaining atomic.Int32
 	done      chan struct{}
 }
 
-// batchItem addresses one text of one request.
+// batchItem is one queue item: the texts [lo, hi) of one request, at
+// most MaxBatch of them.
 type batchItem struct {
-	req *request
-	pos int
+	req    *request
+	lo, hi int
 }
 
 // Server coalesces label requests into batches over a loaded bundle.
@@ -137,16 +137,15 @@ type Server struct {
 	o         *obs.Obs
 
 	queue     chan batchItem
-	quit      chan struct{}
-	depth     atomic.Int64 // texts admitted but not yet dequeued
+	depth     atomic.Int64 // texts admitted but not yet dispatched
 	mu        sync.Mutex
 	closed    bool
 	producers sync.WaitGroup
 	loop      sync.WaitGroup
 
 	// beforeBatch, when non-nil, runs at the head of every process()
-	// call. Test hook: lets the admission tests hold the batch loop
-	// still while they fill the queue deterministically.
+	// call. Test hook: lets tests hold the batch loop still while they
+	// fill the queue deterministically.
 	beforeBatch func()
 
 	// Per-outcome request counters and the rest of the tenant's series,
@@ -165,6 +164,7 @@ type Server struct {
 	mQueue       *obs.Gauge
 	mBatchSz     *obs.Histogram
 	mLatency     *obs.Histogram
+	mQueueWait   *obs.Histogram
 }
 
 // New wires a server around a validated bundle. The obs bundle may be
@@ -188,8 +188,7 @@ func New(b *bundle.Bundle, o *obs.Obs, opts Options) (*Server, error) {
 		b:     b,
 		opts:  opts,
 		o:     o,
-		queue: make(chan batchItem, opts.QueueDepth),
-		quit:  make(chan struct{}),
+		queue: make(chan batchItem, opts.QueueDepth), // >= admitted items: each holds >= 1 text
 	}
 	if b.LabelModel != nil {
 		s.predictor = b.LabelModel.NewPredictor()
@@ -209,9 +208,10 @@ func New(b *bundle.Bundle, o *obs.Obs, opts Options) (*Server, error) {
 	s.mShed = reg.CounterVec("serve_shed_total", "Requests rejected by admission control (queue full).", "tenant").With1(tenant)
 	s.mDropped = reg.CounterVec("serve_dropped_total", "Queued texts dropped because their request's context ended before the batch fired.", "tenant").With1(tenant)
 	s.mInflight = reg.GaugeVec("serve_inflight", "Label requests currently in flight.", "tenant").With1(tenant)
-	s.mQueue = reg.GaugeVec("serve_queue_depth", "Texts admitted to the coalescer queue and not yet dequeued.", "tenant").With1(tenant)
+	s.mQueue = reg.GaugeVec("serve_queue_depth", "Texts admitted to the coalescer queue and not yet dispatched.", "tenant").With1(tenant)
 	s.mBatchSz = reg.HistogramVec("serve_batch_size", "Texts per dispatched micro-batch.", obs.BatchSizeBuckets, "tenant").With1(tenant)
 	s.mLatency = reg.HistogramVec("serve_request_seconds", "Label request latency.", obs.DurationBuckets, "tenant").With1(tenant)
+	s.mQueueWait = reg.HistogramVec("serve_queue_wait_seconds", "Time a queue item waited from enqueue to batch dispatch.", obs.ExpBuckets(1e-5, 2, 18), "tenant").With1(tenant)
 
 	s.loop.Add(1)
 	go s.batchLoop()
@@ -256,7 +256,8 @@ func (s *Server) Label(ctx context.Context, texts []string, explain bool) ([]Pre
 		explain:  explain,
 		done:     make(chan struct{}),
 	}
-	req.remaining.Store(int32(len(texts)))
+	chunk := s.opts.MaxBatch
+	req.remaining.Store(int32((len(texts) + chunk - 1) / chunk)) // queue items
 	for i, text := range texts {
 		// E1Pos/E2Pos must be -1: zero would mark token 0 as an entity
 		// mention and slice the feature window, diverging from how the
@@ -267,7 +268,8 @@ func (s *Server) Label(ctx context.Context, texts []string, explain bool) ([]Pre
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		s.mQueue.Set(float64(s.depth.Add(-int64(len(texts)))))
+		s.depth.Add(-int64(len(texts)))
+		s.mQueue.Add(-float64(len(texts)))
 		s.mReqClosed.Inc()
 		s.mErrClosed.Inc()
 		span.SetErr(ErrClosed)
@@ -275,22 +277,25 @@ func (s *Server) Label(ctx context.Context, texts []string, explain bool) ([]Pre
 	}
 	s.producers.Add(1)
 	s.mu.Unlock()
-	for i := range texts {
-		s.queue <- batchItem{req: req, pos: i}
+	req.queued = time.Now()
+	for lo := 0; lo < len(texts); lo += chunk {
+		s.queue <- batchItem{req: req, lo: lo, hi: min(lo+chunk, len(texts))}
 	}
 	s.producers.Done()
 
 	select {
 	case <-req.done:
-		s.mReqOK.Inc()
-		s.mLatency.Observe(time.Since(start).Seconds())
-		return req.preds, nil
+		if !req.dropped { // else the loop saw ctx end first
+			s.mReqOK.Inc()
+			s.mLatency.Observe(time.Since(start).Seconds())
+			return req.preds, nil
+		}
 	case <-ctx.Done():
-		s.mReqCanceled.Inc()
-		s.mErrCanceled.Inc()
-		span.SetErr(ctx.Err())
-		return nil, fmt.Errorf("serve: %w", ctx.Err())
 	}
+	s.mReqCanceled.Inc()
+	s.mErrCanceled.Inc()
+	span.SetErr(ctx.Err())
+	return nil, fmt.Errorf("serve: %w", ctx.Err())
 }
 
 // admit reserves n queue slots, or fails with ErrOverloaded when the
@@ -305,15 +310,10 @@ func (s *Server) admit(n int) error {
 			return ErrOverloaded
 		}
 		if s.depth.CompareAndSwap(cur, cur+int64(n)) {
-			s.mQueue.Set(float64(cur + int64(n)))
+			s.mQueue.Add(float64(n)) // Add, not Set: racing Sets go stale
 			return nil
 		}
 	}
-}
-
-// dequeued records that one item left the queue for a batch.
-func (s *Server) dequeued() {
-	s.mQueue.Set(float64(s.depth.Add(-1)))
 }
 
 // Close stops accepting requests, waits for enqueued texts to be
@@ -328,79 +328,64 @@ func (s *Server) Close() {
 	s.closed = true
 	s.mu.Unlock()
 	s.producers.Wait() // every accepted request is fully enqueued
-	close(s.quit)
+	close(s.queue)
 	s.loop.Wait()
 }
 
-// batchLoop is the single consumer: it seeds each batch with the first
-// available item, fills it, and processes it, until quit — then drains
-// whatever is still queued.
+// batchLoop is the single consumer: it fills a batch behind a first item
+// — the previous fill's carry, or else the next queued item, waited for —
+// and processes it, until Close has closed the queue and every item in it
+// is processed.
 func (s *Server) batchLoop() {
 	defer s.loop.Done()
-	for {
-		select {
-		case it := <-s.queue:
-			s.dequeued()
-			s.process(s.fill(it))
-		case <-s.quit:
-			for {
-				select {
-				case it := <-s.queue:
-					s.dequeued()
-					s.process(s.fill(it))
-				default:
-					return
-				}
-			}
+	for first, ok := <-s.queue; ok; {
+		var batch []batchItem
+		batch, first = s.fill(first)
+		s.process(batch)
+		if first.req == nil {
+			first, ok = <-s.queue
 		}
 	}
 }
 
-// fill grows a batch seeded with first until MaxBatch items are gathered
-// or MaxWait elapses. The wait clock starts with the first item — a lone
-// request is never delayed longer than MaxWait.
-func (s *Server) fill(first batchItem) []batchItem {
-	batch := append(make([]batchItem, 0, s.opts.MaxBatch), first)
-	timer := time.NewTimer(s.opts.MaxWait)
-	defer timer.Stop()
-	for len(batch) < s.opts.MaxBatch {
+// fill seeds a batch with first and takes whatever is already queued,
+// without blocking, up to MaxBatch texts; an item that would overflow the
+// cap comes back as carry to seed the next batch.
+func (s *Server) fill(first batchItem) (batch []batchItem, carry batchItem) {
+	batch = append(make([]batchItem, 0, s.opts.MaxBatch), first)
+	texts := first.hi - first.lo
+drain:
+	for texts < s.opts.MaxBatch {
 		select {
-		case it := <-s.queue:
-			s.dequeued()
-			batch = append(batch, it)
-		case <-timer.C:
-			return batch
-		case <-s.quit:
-			// Shutting down: take what is immediately available, skip the
-			// wait.
-			for len(batch) < s.opts.MaxBatch {
-				select {
-				case it := <-s.queue:
-					s.dequeued()
-					batch = append(batch, it)
-				default:
-					return batch
-				}
+		case it, ok := <-s.queue:
+			if !ok {
+				break drain
 			}
-			return batch
+			if texts+it.hi-it.lo > s.opts.MaxBatch {
+				carry = it
+				break drain
+			}
+			batch = append(batch, it)
+			texts += it.hi - it.lo
+		default:
+			break drain
 		}
 	}
-	return batch
+	s.depth.Add(-int64(texts))
+	s.mQueue.Add(-float64(texts))
+	return batch, carry
 }
 
 // process runs one batch through the offline hot path — featurize all,
 // predict all — and distributes results to their requests. The label is
-// derived from the probability row with the same strict-greater first-max
-// rule as LogisticRegression.Predict (softmax is monotone, so the argmax
-// is identical).
+// the probability row's strict-greater first max, the rule
+// LogisticRegression.Predict uses (softmax is monotone, so the argmax is
+// identical).
 func (s *Server) process(batch []batchItem) {
 	if s.beforeBatch != nil {
 		s.beforeBatch()
 	}
-	s.mBatches.Inc()
-	s.mBatchSz.Observe(float64(len(batch)))
 	span := s.o.Tracer.StartSpan("serve.batch")
-	span.SetInt("size", int64(len(batch)))
 	defer span.End()
 
 	// Deadline-aware drop: a request whose context ended (client gone,
@@ -408,56 +393,76 @@ func (s *Server) process(batch []batchItem) {
 	// only its bookkeeping is settled. Skipping items cannot perturb
 	// other results: the hot path is per-example independent.
 	live := batch[:0]
+	corpus := make([][]string, 0, s.opts.MaxBatch)
 	dropped := 0
 	for _, it := range batch {
-		if it.req.ctx != nil && it.req.ctx.Err() != nil {
-			dropped++
-			if it.req.remaining.Add(-1) == 0 {
-				close(it.req.done)
-			}
+		if it.req.ctx.Err() != nil {
+			dropped += it.hi - it.lo
+			it.req.dropped = true
+			it.req.settle()
 			continue
 		}
+		s.mQueueWait.Observe(time.Since(it.req.queued).Seconds())
 		live = append(live, it)
+		for _, e := range it.req.examples[it.lo:it.hi] {
+			corpus = append(corpus, e.FeatureTokens())
+		}
 	}
+	s.mBatches.Inc()
+	s.mBatchSz.Observe(float64(len(corpus) + dropped))
+	span.SetInt("size", int64(len(corpus)+dropped))
 	if dropped > 0 {
 		s.mDropped.AddInt(dropped)
-	}
-	batch = live
-	if len(batch) == 0 {
 		span.SetInt("dropped", int64(dropped))
+	}
+	if len(live) == 0 {
 		return
 	}
 
-	corpus := make([][]string, len(batch))
-	for i, it := range batch {
-		corpus[i] = it.req.examples[it.pos].FeatureTokens()
-	}
+	stage := span.Child("serve.featurize")
 	X := s.b.Featurizer.TransformAll(corpus)
+	stage.End()
+	stage = span.Child("serve.predict")
 	P := s.b.EndModel.PredictProbaAll(X)
+	stage.End()
 
-	for i, it := range batch {
-		row := P[i]
-		best := 0
-		for c := 1; c < len(row); c++ {
-			if row[c] > row[best] {
-				best = c
-			}
+	var explain obs.Span // opened by the batch's first explain item
+	for _, it := range live {
+		for pos := it.lo; pos < it.hi; pos, P = pos+1, P[1:] {
+			best := metrics.ArgMax(P[0])
+			it.req.preds[pos] = Prediction{Label: best, Class: s.b.Dataset.ClassNames[best], Proba: P[0]}
 		}
-		pred := Prediction{Label: best, Class: s.b.Dataset.ClassNames[best], Proba: row}
 		if it.req.explain {
-			e := it.req.examples[it.pos]
-			js, votes := lf.ApplyAll(s.b.LFs, e)
-			pred.LFs = make([]LFVote, len(js))
-			for t, j := range js {
-				pred.LFs[t] = LFVote{Name: s.b.LFs[j].Name(), Vote: votes[t]}
+			if explain == nil {
+				explain = span.Child("serve.explain")
 			}
-			if s.predictor != nil && len(js) > 0 {
-				pred.LabelModelProba = s.predictor.Posterior(js, votes)
+			for pos := it.lo; pos < it.hi; pos++ {
+				s.explain(&it.req.preds[pos], it.req.examples[pos])
 			}
 		}
-		it.req.preds[it.pos] = pred
-		if it.req.remaining.Add(-1) == 0 {
-			close(it.req.done)
-		}
+		it.req.settle()
+	}
+	if explain != nil {
+		explain.End()
+	}
+}
+
+// settle marks one queue item of r answered or dropped.
+func (r *request) settle() {
+	if r.remaining.Add(-1) == 0 {
+		close(r.done)
+	}
+}
+
+// explain adds the fired LFs and, when the bundle carries a label model,
+// its posterior to pred.
+func (s *Server) explain(pred *Prediction, e *dataset.Example) {
+	js, votes := lf.ApplyAll(s.b.LFs, e)
+	pred.LFs = make([]LFVote, len(js))
+	for t, j := range js {
+		pred.LFs[t] = LFVote{Name: s.b.LFs[j].Name(), Vote: votes[t]}
+	}
+	if s.predictor != nil && len(js) > 0 {
+		pred.LabelModelProba = s.predictor.Posterior(js, votes)
 	}
 }

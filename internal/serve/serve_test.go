@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -169,7 +170,7 @@ func TestServeExplain(t *testing.T) {
 // sequentially-computed expectation — no dropped, duplicated, or
 // cross-wired responses. Run it under -race (make race does).
 func TestServeConcurrentLoad(t *testing.T) {
-	s, reg, d := newServer(t, serve.Options{MaxBatch: 16, MaxWait: 500 * time.Microsecond, Workers: 4})
+	s, reg, d := newServer(t, serve.Options{MaxBatch: 16, Workers: 4})
 	b, _ := trained(t)
 	texts, probas, labels := offlineExpected(b, d)
 
@@ -250,26 +251,175 @@ type atomic64 struct {
 func (a *atomic64) add(d int64) { a.mu.Lock(); a.v += d; a.mu.Unlock() }
 func (a *atomic64) load() int64 { a.mu.Lock(); defer a.mu.Unlock(); return a.v }
 
-// TestServeBatching forces coalescing: with a generous wait window,
-// concurrent singles should share batches (batches < texts).
+// holdLoop parks the batch loop inside its first batch: held closes once
+// the loop is parked, and the loop resumes when release is closed.
+func holdLoop(s *serve.Server) (held, release chan struct{}) {
+	held, release = make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	s.SetBeforeBatch(func() {
+		once.Do(func() {
+			close(held)
+			<-release
+		})
+	})
+	return held, release
+}
+
+// TestServeBatching pins dispatch-on-drain coalescing without timing:
+// with the batch loop parked, n concurrent singles queue up, and once the
+// loop resumes they dispatch together as one batch of n.
 func TestServeBatching(t *testing.T) {
-	s, reg, d := newServer(t, serve.Options{MaxBatch: 32, MaxWait: 20 * time.Millisecond})
+	const n = 24
+	s, reg, d := newServer(t, serve.Options{MaxBatch: 32})
+	b, _ := trained(t)
+	texts, probas, labels := offlineExpected(b, d)
+	held, release := holdLoop(s)
+
 	var wg sync.WaitGroup
-	n := 24
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, err := s.Label(context.Background(), []string{d.Valid[i%len(d.Valid)].Text}, false)
-			if err != nil {
-				t.Error(err)
-			}
-		}(i)
+	label := func(i int) {
+		defer wg.Done()
+		got, err := s.Label(context.Background(), texts[i:i+1], false)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		assertPredictionErr(t, got[0], probas[i], labels[i], 0, i, 0)
 	}
+	wg.Add(1)
+	go label(0) // parks the loop in its first batch
+	<-held
+	for i := 1; i <= n; i++ {
+		wg.Add(1)
+		go label(i)
+	}
+	waitCounter(t, func() float64 { return float64(s.QueuedItems()) }, n, "queued requests")
+	close(release)
 	wg.Wait()
-	batches := reg.CounterValue("serve_batches_total")
-	if batches == 0 || batches >= float64(n) {
-		t.Errorf("%v batches for %d concurrent singles — coalescer not batching", batches, n)
+
+	if got := reg.CounterValue("serve_batches_total"); got != 2 {
+		t.Errorf("%v batches for 1 + %d queued singles, want 2 (the held one, then one of %d)", got, n, n)
+	}
+}
+
+// TestServeLoneRequestNotDelayed: a lone request dispatches as soon as
+// it is queued — the deprecated MaxWait no longer holds batches open.
+func TestServeLoneRequestNotDelayed(t *testing.T) {
+	s, _, d := newServer(t, serve.Options{MaxWait: time.Minute})
+	start := time.Now()
+	if _, err := s.Label(context.Background(), []string{d.Valid[0].Text}, false); err != nil {
+		t.Fatal(err)
+	}
+	if el := time.Since(start); el > time.Second {
+		t.Fatalf("lone request took %v with MaxWait 1m; the coalescer waited for company", el)
+	}
+}
+
+// TestServeOversizedRequest: a request of 3*MaxBatch+1 texts is split
+// into MaxBatch-sized queue items across four dispatches and still gets
+// every answer, in order, bit-identical to the offline path.
+func TestServeOversizedRequest(t *testing.T) {
+	const maxBatch = 8
+	s, reg, d := newServer(t, serve.Options{MaxBatch: maxBatch})
+	b, _ := trained(t)
+	texts, probas, labels := offlineExpected(b, d)
+	n := 3*maxBatch + 1
+	if len(texts) < n {
+		t.Fatalf("validation split has %d texts, need %d", len(texts), n)
+	}
+	preds, err := s.Label(context.Background(), texts[:n], false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(preds) != n {
+		t.Fatalf("%d predictions for %d texts", len(preds), n)
+	}
+	for i := range preds {
+		assertPrediction(t, preds[i], probas[i], labels[i], texts[i])
+	}
+	if got := reg.CounterValue("serve_batches_total"); got != 4 {
+		t.Errorf("serve_batches_total = %v, want 4 batches of at most %d texts", got, maxBatch)
+	}
+	wait := reg.HistogramVec("serve_queue_wait_seconds", "", nil, "tenant").With1("default").Snapshot()
+	if wait.Count != 4 {
+		t.Errorf("serve_queue_wait_seconds count = %d, want one observation per queue item (4)", wait.Count)
+	}
+}
+
+// TestServeBatchStageSpans: every dispatched batch carries featurize and
+// predict child spans, and an explain child span only when one of its
+// requests asks for explanations.
+func TestServeBatchStageSpans(t *testing.T) {
+	b, d := trained(t)
+	mem := obs.NewMemoryTracer()
+	s, err := serve.New(b, obs.New(mem, obs.NewRegistry(), nil), serve.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, explain := range []bool{false, true} {
+		if _, err := s.Label(context.Background(), []string{d.Valid[0].Text}, explain); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+
+	batches := mem.Named("serve.batch")
+	if len(batches) != 2 {
+		t.Fatalf("%d serve.batch spans, want 2", len(batches))
+	}
+	children := map[string][]string{}
+	for _, sp := range mem.Spans() {
+		if sp.Parent != "" {
+			children[sp.Parent] = append(children[sp.Parent], sp.Name)
+		}
+	}
+	for i, want := range []string{"serve.featurize serve.predict", "serve.featurize serve.predict serve.explain"} {
+		if got := strings.Join(children[batches[i].Span], " "); got != want {
+			t.Errorf("batch %d children = %q, want %q", i, got, want)
+		}
+	}
+}
+
+// TestServeCloseDrainsQueue: requests queued behind a parked loop
+// dispatch in arrival order, never past MaxBatch texts — the item that
+// would overflow a batch seeds the next one — and Close answers every
+// one of them before it returns.
+func TestServeCloseDrainsQueue(t *testing.T) {
+	s, reg, d := newServer(t, serve.Options{MaxBatch: 4})
+	b, _ := trained(t)
+	texts, probas, labels := offlineExpected(b, d)
+	held, release := holdLoop(s)
+
+	var wg sync.WaitGroup
+	label := func(lo, hi int) {
+		defer wg.Done()
+		preds, err := s.Label(context.Background(), texts[lo:hi], false)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for k, p := range preds {
+			assertPredictionErr(t, p, probas[lo+k], labels[lo+k], 0, lo, k)
+		}
+	}
+	wg.Add(1)
+	go label(0, 1)
+	<-held
+	// Queued one at a time, so the loop sees them in this order and
+	// must batch them as [1 3] [2] [4] [1].
+	lo := 1
+	for i, n := range []int{1, 3, 2, 4, 1} {
+		wg.Add(1)
+		go label(lo, lo+n)
+		lo += n
+		waitCounter(t, func() float64 { return float64(s.QueuedItems()) }, float64(i+1), "queued requests")
+	}
+	closed := make(chan struct{})
+	go func() { s.Close(); close(closed) }()
+	close(release)
+	wg.Wait()
+	<-closed
+	if got := reg.CounterValue("serve_batches_total"); got != 5 {
+		t.Errorf("serve_batches_total = %v, want 5 (the held batch, then [1 3] [2] [4] [1])", got)
 	}
 }
 
