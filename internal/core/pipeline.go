@@ -591,6 +591,11 @@ func (ev *evaluator) trainProba(lfs []lf.LabelFunction) (*lf.VoteMatrix, [][]flo
 func (ev *evaluator) trainingSet(proba [][]float64) (X []*textproc.SparseVector, Y [][]float64, weights []float64) {
 	k := ev.d.NumClasses()
 	vecs := ev.trainVectors()
+	// At most one example per posterior row: presize instead of growing
+	// from nil on every interim refresh.
+	X = make([]*textproc.SparseVector, 0, len(proba))
+	Y = make([][]float64, 0, len(proba))
+	weights = make([]float64, 0, len(proba))
 	// One flat backing array for every one-hot row: the per-example
 	// make([]float64, k) calls otherwise dominate this function's
 	// allocation profile on the 96k-example splits.

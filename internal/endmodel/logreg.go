@@ -53,8 +53,10 @@ func (c TrainConfig) withDefaults() TrainConfig {
 type LogisticRegression struct {
 	// Dim is the feature dimensionality, K the class count.
 	Dim, K int
-	// W is the K×Dim weight matrix, B the per-class bias.
-	W [][]float64
+	// W holds the Dim×K weights feature-major: W[f*K+c] is feature f's
+	// weight for class c, so the K weights a non-zero feature touches are
+	// one contiguous row. B is the per-class bias.
+	W []float64
 	B []float64
 
 	// workers bounds the goroutines batch prediction fans out over
@@ -67,38 +69,57 @@ type LogisticRegression struct {
 // SetParallelism sets the worker bound for Predict/PredictProbaAll.
 func (m *LogisticRegression) SetParallelism(workers int) { m.workers = workers }
 
+// maxWeights caps Dim*K. Train refuses a larger shape, and a decoded
+// model is checked against it before its dense weights are allocated:
+// the stored form is sparse, so a few bytes of a bundle sent over the
+// network could otherwise declare a matrix that does not fit in memory.
+// It admits a million features at four classes, far above
+// DefaultFeatureDim.
+const maxWeights = 1 << 22
+
+// maxParam bounds the magnitude of every weight and bias a valid model
+// may hold. Served features are L2-normalized, so each logit sums at most
+// Dim+1 terms of this size; with Dim*K capped at maxWeights that sum
+// stays finite, and so do the probabilities. Trained models sit many
+// orders of magnitude below it.
+const maxParam = 1e300
+
 // Validate checks the structural invariants of a model (trained,
-// deserialized, or hand-assembled): a consistent K×Dim shape and finite
-// parameters. Bundle loading calls it before serving the model.
+// deserialized, or hand-assembled): a consistent Dim×K shape of at most
+// maxWeights entries and finite parameters no larger than maxParam. Bundle loading calls it before
+// serving the model.
 func (m *LogisticRegression) Validate() error {
 	if m.Dim <= 0 || m.K < 2 {
 		return fmt.Errorf("endmodel: invalid shape %dx%d", m.K, m.Dim)
 	}
-	if len(m.W) != m.K || len(m.B) != m.K {
-		return fmt.Errorf("endmodel: %d weight rows and %d biases for %d classes", len(m.W), len(m.B), m.K)
+	if m.Dim > maxWeights/m.K {
+		return fmt.Errorf("endmodel: shape %dx%d exceeds %d weights", m.K, m.Dim, maxWeights)
 	}
-	for c, wc := range m.W {
-		if len(wc) != m.Dim {
-			return fmt.Errorf("endmodel: class %d has %d weights for dimension %d", c, len(wc), m.Dim)
-		}
-		for _, w := range wc {
-			if math.IsNaN(w) || math.IsInf(w, 0) {
-				return fmt.Errorf("endmodel: class %d has a non-finite weight", c)
-			}
+	if len(m.B) != m.K {
+		return fmt.Errorf("endmodel: %d biases for %d classes", len(m.B), m.K)
+	}
+	if len(m.W) != m.Dim*m.K {
+		return fmt.Errorf("endmodel: %d weights for %d features x %d classes", len(m.W), m.Dim, m.K)
+	}
+	for i, w := range m.W {
+		if !(math.Abs(w) <= maxParam) {
+			return fmt.Errorf("endmodel: class %d has a non-finite or out-of-range weight", i%m.K)
 		}
 	}
 	for c, b := range m.B {
-		if math.IsNaN(b) || math.IsInf(b, 0) {
-			return fmt.Errorf("endmodel: class %d has a non-finite bias", c)
+		if !(math.Abs(b) <= maxParam) {
+			return fmt.Errorf("endmodel: class %d has a non-finite or out-of-range bias", c)
 		}
 	}
 	return nil
 }
 
 // Train fits the model on sparse features X with soft targets Y (each row
-// a probability vector over k classes) using mini-batch SGD with
-// per-epoch learning-rate decay. An optional weights slice scales each
-// example's loss (nil means uniform).
+// a probability vector over k classes) using per-example SGD with
+// per-epoch learning-rate decay and lazy L2 shrinkage of the touched
+// weights. An optional weights slice scales each example's loss (nil
+// means uniform). Rows of X must have strictly increasing indices, as
+// SparseVector.Validate requires.
 func Train(X []*textproc.SparseVector, Y [][]float64, weights []float64, k, dim int, cfg TrainConfig) (*LogisticRegression, error) {
 	if len(X) == 0 {
 		return nil, fmt.Errorf("endmodel: empty training set")
@@ -112,6 +133,9 @@ func Train(X []*textproc.SparseVector, Y [][]float64, weights []float64, k, dim 
 	if k < 2 {
 		return nil, fmt.Errorf("endmodel: need >=2 classes, got %d", k)
 	}
+	if dim <= 0 || dim > maxWeights/k {
+		return nil, fmt.Errorf("endmodel: dimension %d outside 1..%d for %d classes", dim, maxWeights/k, k)
+	}
 	for i, y := range Y {
 		if len(y) != k {
 			return nil, fmt.Errorf("endmodel: target %d has %d classes, want %d", i, len(y), k)
@@ -122,21 +146,21 @@ func Train(X []*textproc.SparseVector, Y [][]float64, weights []float64, k, dim 
 	m := &LogisticRegression{
 		Dim: dim,
 		K:   k,
-		W:   make([][]float64, k),
+		W:   make([]float64, dim*k),
 		B:   make([]float64, k),
-	}
-	for c := range m.W {
-		m.W[c] = make([]float64, dim)
 	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	order := rng.Perm(len(X))
 	probs := make([]float64, k)
+	grad := make([]float64, k)
 	lr := cfg.LearningRate
 
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		// reshuffle each epoch
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		// exactly 1 when L2 is off, and x*1 == x bit for bit
+		shrink := 1 - lr*cfg.L2
 		for _, idx := range order {
 			x := X[idx]
 			m.logits(x, probs)
@@ -145,25 +169,25 @@ func Train(X []*textproc.SparseVector, Y [][]float64, weights []float64, k, dim 
 			if weights != nil {
 				w *= weights[idx]
 			}
-			for c := 0; c < k; c++ {
-				g := (probs[c] - Y[idx][c]) * w
-				if g == 0 {
-					continue
-				}
-				m.B[c] -= g
-				wc := m.W[c]
-				for t, fi := range x.Idx {
-					wc[fi] -= g * float64(x.Val[t])
+			y := Y[idx]
+			for c := range grad {
+				grad[c] = (probs[c] - y[c]) * w
+				if grad[c] != 0 {
+					m.B[c] -= grad[c]
 				}
 			}
-			// lazy L2 on touched coordinates
-			if cfg.L2 > 0 {
-				shrink := 1 - lr*cfg.L2
-				for c := 0; c < k; c++ {
-					wc := m.W[c]
-					for _, fi := range x.Idx {
-						wc[fi] *= shrink
+			// Each touched weight takes its gradient step, then the lazy
+			// L2 shrink. A zero gradient skips the step, as subtracting a
+			// signed zero could flip a zero weight's sign bit.
+			for t, fi := range x.Idx {
+				v := float64(x.Val[t])
+				row := m.W[int(fi)*k : int(fi)*k+k]
+				row = row[:len(grad)]
+				for c, g := range grad {
+					if g != 0 {
+						row[c] -= g * v
 					}
+					row[c] *= shrink
 				}
 			}
 		}
@@ -172,15 +196,19 @@ func Train(X []*textproc.SparseVector, Y [][]float64, weights []float64, k, dim 
 	return m, nil
 }
 
-// logits writes raw class scores for x into out (length K).
+// logits writes raw class scores for x into out (length K): each class
+// starts from its bias and adds the non-zeros in index order.
 func (m *LogisticRegression) logits(x *textproc.SparseVector, out []float64) {
-	for c := 0; c < m.K; c++ {
-		s := m.B[c]
-		wc := m.W[c]
-		for t, fi := range x.Idx {
-			s += wc[fi] * float64(x.Val[t])
+	k := m.K
+	out = out[:k]
+	copy(out, m.B)
+	for t, fi := range x.Idx {
+		v := float64(x.Val[t])
+		row := m.W[int(fi)*k : int(fi)*k+k]
+		row = row[:len(out)]
+		for c, w := range row {
+			out[c] += w * v
 		}
-		out[c] = s
 	}
 }
 

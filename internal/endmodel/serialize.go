@@ -3,7 +3,6 @@ package endmodel
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 )
 
 // modelJSON is the stored form of a trained model. Weights are kept
@@ -27,8 +26,8 @@ func (m *LogisticRegression) MarshalJSON() ([]byte, error) {
 		Indices: make([][]int, m.K),
 		Values:  make([][]float64, m.K),
 	}
-	for c := 0; c < m.K; c++ {
-		for f, w := range m.W[c] {
+	for f := 0; f < m.Dim; f++ {
+		for c, w := range m.W[f*m.K : f*m.K+m.K] {
 			if w == 0 {
 				continue
 			}
@@ -48,28 +47,25 @@ func (m *LogisticRegression) UnmarshalJSON(data []byte) error {
 	if in.Dim <= 0 || in.K < 2 {
 		return fmt.Errorf("endmodel: invalid shape %dx%d", in.K, in.Dim)
 	}
+	if in.Dim > maxWeights/in.K {
+		return fmt.Errorf("endmodel: shape %dx%d exceeds %d weights", in.K, in.Dim, maxWeights)
+	}
 	if len(in.Bias) != in.K || len(in.Indices) != in.K || len(in.Values) != in.K {
 		return fmt.Errorf("endmodel: class-count mismatch in stored model")
 	}
-	m.Dim, m.K = in.Dim, in.K
-	m.B = in.Bias
-	m.W = make([][]float64, in.K)
+	w := make([]float64, in.Dim*in.K)
 	for c := 0; c < in.K; c++ {
 		if len(in.Indices[c]) != len(in.Values[c]) {
 			return fmt.Errorf("endmodel: class %d has %d indices for %d values",
 				c, len(in.Indices[c]), len(in.Values[c]))
 		}
-		m.W[c] = make([]float64, in.Dim)
 		for t, f := range in.Indices[c] {
 			if f < 0 || f >= in.Dim {
 				return fmt.Errorf("endmodel: class %d feature index %d out of range", c, f)
 			}
-			v := in.Values[c][t]
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("endmodel: class %d has a non-finite weight", c)
-			}
-			m.W[c][f] = v
+			w[f*in.K+c] = in.Values[c][t]
 		}
 	}
-	return nil
+	m.Dim, m.K, m.W, m.B = in.Dim, in.K, w, in.Bias
+	return m.Validate()
 }

@@ -3,6 +3,7 @@ package textproc
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"datasculpt/internal/par"
 )
@@ -27,10 +28,11 @@ type Featurizer struct {
 	df   []int32
 	idf  []float32
 	docs int
-	// incremental-fit state (BeginFit/FitChunk/FinishFit)
+	// incremental-fit state (BeginFit/FitChunk/FinishFit): seen[b] holds
+	// the 1-based stamp of the last document that counted bucket b
 	fitting bool
 	pending int
-	seen    map[int32]struct{}
+	seen    []int32
 }
 
 // NewFeaturizer creates an unfitted featurizer with the given vector width.
@@ -44,27 +46,24 @@ func NewFeaturizer(dim int) *Featurizer {
 
 // FNV-1a 32-bit constants (hash/fnv's, inlined so hashing a term costs
 // zero allocations — the hash.Hash32 interface value and its internal
-// state otherwise escape on every call, and hashTerm runs once per token
-// per document across Fit, Transform, and DocFreq).
+// state otherwise escape on every call, and a term is hashed once per
+// token per document across Fit, Transform, and DocFreq).
 const (
 	fnvOffset32 = 2166136261
 	fnvPrime32  = 16777619
 )
 
-// hashTerm maps a term to a (bucket, sign) pair with FNV-1a. The sign bit
-// implements the standard hashing-trick collision mitigation.
-func (f *Featurizer) hashTerm(term string) (int32, float32) {
+// hashKey maps a term to its feature key bucket<<1 | signbit with
+// FNV-1a. The bucket is the hash modulo Dim; the sign (set bit: -1)
+// implements the standard hashing-trick collision mitigation. Sorting
+// keys groups each bucket's occurrences together.
+func (f *Featurizer) hashKey(term string) uint32 {
 	sum := uint32(fnvOffset32)
 	for i := 0; i < len(term); i++ {
 		sum ^= uint32(term[i])
 		sum *= fnvPrime32
 	}
-	bucket := int32(sum % uint32(f.Dim))
-	sign := float32(1)
-	if sum&0x80000000 != 0 {
-		sign = -1
-	}
-	return bucket, sign
+	return sum%uint32(f.Dim)<<1 | sum>>31
 }
 
 // Fit accumulates document frequencies over the corpus and freezes IDF
@@ -97,7 +96,7 @@ func (f *Featurizer) BeginFit() error {
 		return fmt.Errorf("featurizer: BeginFit called twice")
 	}
 	f.fitting = true
-	f.seen = make(map[int32]struct{}, 64)
+	f.seen = make([]int32, f.Dim)
 	return nil
 }
 
@@ -108,12 +107,12 @@ func (f *Featurizer) FitChunk(corpus [][]string) {
 	if !f.fitting {
 		panic("featurizer: FitChunk outside BeginFit/FinishFit")
 	}
-	for _, tokens := range corpus {
-		clear(f.seen)
+	for i, tokens := range corpus {
+		stamp := int32(f.pending + i + 1)
 		for _, t := range tokens {
-			b, _ := f.hashTerm(t)
-			if _, ok := f.seen[b]; !ok {
-				f.seen[b] = struct{}{}
+			b := f.hashKey(t) >> 1
+			if f.seen[b] != stamp {
+				f.seen[b] = stamp
 				f.df[b]++
 			}
 		}
@@ -149,42 +148,90 @@ func (f *Featurizer) Fitted() bool { return f.docs > 0 }
 // TF-IDF vector. Transform panics if the featurizer is unfitted, because
 // that is always a programming error rather than a data condition.
 func (f *Featurizer) Transform(tokens []string) *SparseVector {
-	if !f.Fitted() {
-		panic("featurizer: Transform before Fit")
-	}
-	acc := make(map[int32]float32, len(tokens))
-	for _, t := range tokens {
-		b, sign := f.hashTerm(t)
-		acc[b] += sign
-	}
-	for b, tf := range acc {
-		if tf == 0 {
-			delete(acc, b) // signed collisions cancelled out
-			continue
-		}
-		// Sub-linear TF damping keeps long reviews (IMDB) comparable to
-		// short comments (Youtube).
-		mag := float32(1 + math.Log(math.Abs(float64(tf))))
-		if tf < 0 {
-			mag = -mag
-		}
-		acc[b] = mag * f.idf[b]
-	}
-	v := fromMap(acc)
-	v.Normalize()
-	return v
+	return f.TransformAll([][]string{tokens})[0]
 }
 
 // TransformAll maps Transform over a corpus, sharding documents across
-// the configured Workers (identical output at any worker count).
+// the configured Workers (identical output at any worker count). Each
+// chunk ends up with one Idx and one Val backing holding exactly its
+// non-zeros, and every row is a capacity-limited window of them, so the
+// corpus costs a few allocations rather than three per document, and
+// appending to one row can never overwrite the next.
 func (f *Featurizer) TransformAll(corpus [][]string) []*SparseVector {
+	if len(corpus) > 0 && !f.Fitted() {
+		panic("featurizer: Transform before Fit")
+	}
 	out := make([]*SparseVector, len(corpus))
+	rows := make([]SparseVector, len(corpus))
 	par.Chunks(f.Workers, len(corpus), func(lo, hi int) {
+		tokens, longest := 0, 0
+		for _, doc := range corpus[lo:hi] {
+			tokens += len(doc)
+			longest = max(longest, len(doc))
+		}
+		// A row has at most one entry per token, so the chunk's rows are
+		// built in token-sized scratch, each recorded as a window of it.
+		keys := make([]uint32, longest)
+		idx := make([]int32, tokens)
+		val := make([]float32, tokens)
+		off := 0
 		for i := lo; i < hi; i++ {
-			out[i] = f.Transform(corpus[i])
+			n := f.row(corpus[i], keys, idx[off:], val[off:])
+			rows[i].Idx = idx[off : off+n]
+			off += n
+		}
+		// Long, repetitive documents have far fewer non-zeros than
+		// tokens, and the rows live as long as the split, so they move
+		// to backings of the filled size.
+		idx, val = slices.Clone(idx[:off]), slices.Clone(val[:off])
+		off = 0
+		for i := lo; i < hi; i++ {
+			end := off + len(rows[i].Idx)
+			rows[i] = SparseVector{Idx: idx[off:end:end], Val: val[off:end:end]}
+			out[i] = &rows[i]
+			off = end
 		}
 	})
 	return out
+}
+
+// row writes the normalized TF-IDF entries of tokens, in ascending
+// bucket order, to the front of idx and val and returns their count. keys
+// is scratch; keys, idx and val each hold at least len(tokens) entries.
+func (f *Featurizer) row(tokens []string, keys []uint32, idx []int32, val []float32) int {
+	keys = keys[:len(tokens)]
+	for i, t := range tokens {
+		keys[i] = f.hashKey(t)
+	}
+	slices.Sort(keys)
+	n := 0
+	for i := 0; i < len(keys); {
+		b := keys[i] >> 1
+		// tf is the signed occurrence count: an exact integer, as the
+		// float32 sum of +-1 it replaces is below 2^24 occurrences
+		tf := 0
+		for ; i < len(keys) && keys[i]>>1 == b; i++ {
+			tf += 1 - 2*int(keys[i]&1)
+		}
+		if tf == 0 {
+			continue // signed collisions cancelled out
+		}
+		// Sub-linear TF damping keeps long reviews (IMDB) comparable to
+		// short comments (Youtube). Log(1) is exactly 0, so the common
+		// |tf| == 1 skips the call.
+		mag := float32(1)
+		if a := math.Abs(float64(tf)); a > 1 {
+			mag = float32(1 + math.Log(a))
+		}
+		if tf < 0 {
+			mag = -mag
+		}
+		idx[n], val[n] = int32(b), mag*f.idf[b]
+		n++
+	}
+	v := SparseVector{Idx: idx[:n], Val: val[:n]}
+	v.Normalize()
+	return n
 }
 
 // DocFreq returns the fraction of fitted documents whose hash signature
@@ -195,6 +242,6 @@ func (f *Featurizer) DocFreq(term string) float64 {
 	if !f.Fitted() {
 		return 0
 	}
-	b, _ := f.hashTerm(term)
+	b := f.hashKey(term) >> 1
 	return float64(f.df[b]) / float64(f.docs)
 }

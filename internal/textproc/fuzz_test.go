@@ -74,3 +74,41 @@ func FuzzTokenize(f *testing.F) {
 		}
 	})
 }
+
+// FuzzTransform drives the featurizer with arbitrary token lists (the
+// input split on NUL, so tokens may be empty, repeated or invalid UTF-8).
+// A narrow 16-bucket featurizer makes signed collisions and cancelled
+// buckets common. Transform must never panic, its rows must satisfy the
+// sparse-vector invariants, and both Transform and TransformAll must
+// match the map-accumulating reference bit for bit.
+func FuzzTransform(f *testing.F) {
+	for _, seed := range []string{
+		"",
+		"a",
+		"a\x00a\x00a",
+		"spam\x00free\x00spam\x00\x00ham",
+		"\xff\xfe\x00café\x00樹木",
+		strings.Repeat("x\x00y\x00", 40),
+	} {
+		f.Add(seed)
+	}
+	feat := NewFeaturizer(16)
+	if err := feat.Fit([][]string{{"a", "b"}, {"spam", "free"}, {"ham"}}); err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		tokens := strings.Split(raw, "\x00")
+		want := referenceTransform(feat, tokens)
+		got := feat.Transform(tokens)
+		if err := got.Validate(feat.Dim); err != nil {
+			t.Fatalf("Transform(%q): %v", tokens, err)
+		}
+		if !sameBits(got, want) {
+			t.Fatalf("Transform(%q) = %+v, reference %+v", tokens, got, want)
+		}
+		rows := feat.TransformAll([][]string{tokens[:len(tokens)/2], tokens})
+		if !sameBits(rows[1], want) {
+			t.Fatalf("TransformAll(%q) = %+v, reference %+v", tokens, rows[1], want)
+		}
+	})
+}

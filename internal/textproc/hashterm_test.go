@@ -35,23 +35,22 @@ func TestHashTermMatchesReference(t *testing.T) {
 		terms = append(terms, string(b))
 	}
 	for _, term := range terms {
-		gotB, gotS := f.hashTerm(term)
+		key := f.hashKey(term)
 		wantB, wantS := referenceHashTerm(f.Dim, term)
-		if gotB != wantB || gotS != wantS {
-			t.Fatalf("hashTerm(%q) = (%d, %v), reference (%d, %v)", term, gotB, gotS, wantB, wantS)
+		if int32(key>>1) != wantB || key&1 == 1 != (wantS < 0) {
+			t.Fatalf("hashKey(%q) = %#x, reference (%d, %v)", term, key, wantB, wantS)
 		}
 	}
 }
 
 func TestHashTermZeroAlloc(t *testing.T) {
 	f := NewFeaturizer(DefaultFeatureDim)
-	var sink int32
+	var sink uint32
 	allocs := testing.AllocsPerRun(1000, func() {
-		b, _ := f.hashTerm("subscribe to the channel")
-		sink += b
+		sink += f.hashKey("subscribe to the channel")
 	})
 	if allocs != 0 {
-		t.Fatalf("hashTerm allocates %v times per call, want 0", allocs)
+		t.Fatalf("hashKey allocates %v times per call, want 0", allocs)
 	}
 	_ = sink
 }
