@@ -63,7 +63,8 @@ stress:
 
 # 30 seconds of coverage-guided fuzzing per target on the decoders that
 # face untrusted input: LLM completions, raw text, token lists reaching
-# the featurizer, and stored end models (bundles uploaded over HTTP).
+# the featurizer, stored end models (bundles uploaded over HTTP), and
+# the JSONL journals every resume reads back after a crash.
 # `go test -fuzz` accepts a single target per invocation, hence one run
 # each.
 fuzz-smoke:
@@ -72,6 +73,7 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz '^FuzzTokenize$$' -fuzztime 30s ./internal/textproc/
 	$(GO) test -run XXX -fuzz '^FuzzTransform$$' -fuzztime 30s ./internal/textproc/
 	$(GO) test -run XXX -fuzz '^FuzzModelUnmarshal$$' -fuzztime 30s ./internal/endmodel/
+	$(GO) test -run XXX -fuzz '^FuzzCkptLoad$$' -fuzztime 30s ./internal/ckpt/
 
 # total-coverage regression gate: fail if statement coverage drops below
 # the recorded pre-PR baseline

@@ -20,6 +20,7 @@ import (
 	"sort"
 
 	"datasculpt/internal/bundle"
+	"datasculpt/internal/ckpt"
 	"datasculpt/internal/core"
 	"datasculpt/internal/dataset"
 	"datasculpt/internal/experiment"
@@ -134,14 +135,14 @@ func run(ctx context.Context, o runOptions) error {
 			}
 		}
 	}
-	var ckpt *experiment.CheckpointWriter
+	var journal *ckpt.Writer
 	if o.checkpoint != "" {
-		w, err := experiment.OpenCheckpoint(o.checkpoint)
+		w, err := ckpt.Open(o.checkpoint)
 		if err != nil {
 			return err
 		}
 		defer w.Close()
-		ckpt = w
+		journal = w
 	}
 
 	var results []*core.Result
@@ -157,9 +158,9 @@ func run(ctx context.Context, o runOptions) error {
 			res := cr.CoreResult(variant, dsName)
 			results = append(results, res)
 			fmt.Printf("seed %d (restored): %s\n", s, res)
-			if ckpt != nil && o.checkpoint != o.resume {
+			if journal != nil && o.checkpoint != o.resume {
 				rec := experiment.CellRecord{Grid: cliGridTitle, Method: variant, Dataset: dsName, Seed: s, Result: cr}
-				if err := ckpt.Append(rec); err != nil {
+				if err := journal.Append(rec); err != nil {
 					return err
 				}
 			}
@@ -206,9 +207,9 @@ func run(ctx context.Context, o runOptions) error {
 		finalComputed = res
 		finalCfg = cfg
 		fmt.Printf("seed %d: %s\n", s, res)
-		if ckpt != nil {
+		if journal != nil {
 			rec := experiment.CellRecord{Grid: cliGridTitle, Method: variant, Dataset: dsName, Seed: s, Result: experiment.NewCellResult(res)}
-			if err := ckpt.Append(rec); err != nil {
+			if err := journal.Append(rec); err != nil {
 				return err
 			}
 		}

@@ -209,6 +209,10 @@ func (c *Config) samplesPerQuery() int {
 	return 1
 }
 
+// modelDrivenSampler returns whether the sampler scores the pool with
+// interim posteriors the query loop refreshes as LFs accumulate.
+func (c *Config) modelDrivenSampler() bool { return c.Sampler == "uncertain" || c.Sampler == "qbc" }
+
 // promptStyle returns whether the variant uses chain-of-thought.
 func (c *Config) usesCoT() bool { return c.Variant != VariantBase }
 

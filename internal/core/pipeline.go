@@ -16,34 +16,8 @@ import (
 	"datasculpt/internal/llm"
 	"datasculpt/internal/metrics"
 	"datasculpt/internal/obs"
-	"datasculpt/internal/prompt"
-	"datasculpt/internal/sampler"
 	"datasculpt/internal/textproc"
 )
-
-// pipelineMetrics holds the registry handles the run loop updates. The
-// handles are resolved once per run; with a nil registry every handle
-// is nil and every update is a free no-op.
-type pipelineMetrics struct {
-	runs              *obs.Counter
-	iterations        *obs.Counter
-	parseFailures     *obs.Counter
-	iterationFailures *obs.Counter
-	lfsKept           *obs.Counter
-	lfsPerIter        *obs.Histogram
-}
-
-func newPipelineMetrics(reg *obs.Registry) pipelineMetrics {
-	return pipelineMetrics{
-		runs:          reg.Counter("pipeline_runs_total", "pipeline runs started"),
-		iterations:    reg.Counter("pipeline_iterations_total", "query iterations executed"),
-		parseFailures: reg.Counter("pipeline_parse_failures_total", "LLM responses the parser rejected entirely"),
-		iterationFailures: reg.Counter("pipeline_iteration_failures_total",
-			"iterations abandoned because the LLM call failed after retries"),
-		lfsKept:    reg.Counter("pipeline_lfs_kept_total", "candidate LFs that survived the filter chain"),
-		lfsPerIter: reg.Histogram("pipeline_lfs_kept_per_iteration", "LFs kept per query iteration", obs.SmallCountBuckets),
-	}
-}
 
 // evalMetrics holds the registry handles of the evaluation engine: how
 // much work the incremental vote matrix and the EM warm start avoid, and
@@ -118,8 +92,7 @@ func RunContext(ctx context.Context, d *dataset.Dataset, cfg Config) (res *Resul
 		return nil, err
 	}
 	o := obs.FromContext(ctx)
-	pm := newPipelineMetrics(o.Metrics)
-	pm.runs.Inc()
+	o.Metrics.Counter("pipeline_runs_total", "pipeline runs started").Inc()
 	span := o.StartSpan(ctx, "run")
 	span.SetStr("dataset", d.Name)
 	span.SetStr("variant", string(cfg.Variant))
@@ -135,6 +108,7 @@ func RunContext(ctx context.Context, d *dataset.Dataset, cfg Config) (res *Resul
 		}
 		span.End()
 	}()
+	ctx = obs.ContextWithSpan(ctx, span)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	model := cfg.ChatModel
@@ -154,201 +128,32 @@ func RunContext(ctx context.Context, d *dataset.Dataset, cfg Config) (res *Resul
 		// totals stay exactly equal to the usage the Result reports.
 		model = llm.NewMetered(model).Instrument(o.Metrics)
 	}
-	meter := llm.NewMeter(model)
 
-	feat := textproc.NewFeaturizer(cfg.FeatureDim)
-	feat.Workers = cfg.Parallelism
-	if err := feat.Fit(dataset.FeatureCorpus(d.Train)); err != nil {
-		return nil, fmt.Errorf("core: fitting featurizer: %w", err)
-	}
-	trainIx := lf.NewIndex(d.Train)
-	validIx := lf.NewIndex(d.Valid)
-	chain := lf.NewFilterChainIndexed(d, cfg.Filters, trainIx, validIx)
-
-	var selector prompt.ExampleSelector
-	if cfg.usesKATE() {
-		selector, err = prompt.NewKATEWithOptions(d, feat, prompt.KATEOptions{
-			ANNThreshold:        cfg.ANNThreshold,
-			CandidateMultiplier: cfg.ANNMultiplier,
-			Seed:                cfg.Seed + 31,
-			Workers:             cfg.Parallelism,
-			Metrics:             o.Metrics,
-		})
-	} else {
-		selector, err = prompt.NewClassBalanced(d, cfg.Shots, cfg.Seed+7)
-	}
+	l, err := newLoop(d, cfg, o.Metrics)
 	if err != nil {
 		return nil, err
 	}
-
-	smp, ok := sampler.ByName(cfg.Sampler)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown sampler %q", cfg.Sampler)
-	}
-	state := &sampler.State{
-		Dataset:    d,
-		Used:       make([]bool, len(d.Train)),
-		TrainIndex: trainIx,
-		ValidIndex: validIx,
-		Workers:    cfg.Parallelism,
-		Metrics:    o.Metrics,
-	}
-	needsInterim := cfg.Sampler == "uncertain" || cfg.Sampler == "qbc"
-
-	style := prompt.Base
-	if cfg.usesCoT() {
-		style = prompt.CoT
-	}
-	nSamples := cfg.samplesPerQuery()
-
-	ev := &evaluator{
-		d: d, feat: feat, trainIx: trainIx, validIx: validIx, cfg: cfg,
-		workers: cfg.Parallelism, em: newEvalMetrics(o.Metrics), metrics: o.Metrics,
-	}
-	defer ev.close()
-	if cfg.Sampler == "coreset" {
-		state.TrainVecs = ev.trainVectors()
-	}
-	parseFailures := 0
-	failedIterations := 0
-	logDebug := o.Logger.Enabled(ctx, slog.LevelDebug)
-
+	defer l.close()
+	l.meter = llm.NewMeter(model)
 	for it := 0; it < cfg.Iterations; it++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: iteration %d: %w", it, err)
-		}
-		itSpan := span.Child("iteration")
-		itSpan.SetInt("iteration", int64(it))
-
-		selSpan := itSpan.Child("select")
-		id := smp.Next(state, rng)
-		if id < 0 {
-			selSpan.End()
-			itSpan.SetStr("stop", "pool exhausted")
-			itSpan.End()
-			break // pool exhausted
-		}
-		state.Used[id] = true
-		query := d.Train[id]
-		demos := selector.Select(query, cfg.Shots)
-		msgs := prompt.Render(style, d, demos, query)
-		selSpan.End()
-		itSpan.SetInt("query_id", int64(id))
-
-		promptSpan := itSpan.Child("prompt")
-		responses, err := model.Chat(ctx, msgs, cfg.Temperature, nSamples)
+		st, err := l.iterate(ctx, it, rng, model)
 		if err != nil {
-			promptSpan.SetErr(err)
-			promptSpan.End()
-			itSpan.SetErr(err)
-			itSpan.End()
-			if ctx.Err() != nil {
-				// a canceled run is an abort, never a degraded iteration
+			if !st.Failed {
 				return nil, fmt.Errorf("core: iteration %d: %w", it, err)
 			}
-			failedIterations++
-			pm.iterationFailures.Inc()
-			budget := cfg.MaxFailedIterations
-			if budget == 0 || (budget > 0 && failedIterations > budget) {
+			if budget := cfg.MaxFailedIterations; budget == 0 || (budget > 0 && l.failedIterations > budget) {
 				return nil, fmt.Errorf("core: iteration %d: %w (%d failed iterations, budget %d)",
-					it, err, failedIterations, budget)
-			}
-			o.Logger.LogAttrs(ctx, slog.LevelWarn, "iteration failed",
-				slog.Int("iteration", it), slog.Int("query_id", id),
-				slog.Int("failed_iterations", failedIterations),
-				slog.String("error", err.Error()))
-			continue
-		}
-		meter.Record(responses)
-		var promptTok, completionTok int
-		for _, r := range responses {
-			promptTok += r.Usage.PromptTokens
-			completionTok += r.Usage.CompletionTokens
-		}
-		promptSpan.SetInt("prompt_tokens", int64(promptTok))
-		promptSpan.SetInt("completion_tokens", int64(completionTok))
-		promptSpan.End()
-		itSpan.SetInt("prompt_tokens", int64(promptTok))
-		itSpan.SetInt("completion_tokens", int64(completionTok))
-		pm.iterations.Inc()
-
-		parseSpan := itSpan.Child("parse")
-		var parsed *prompt.Parsed
-		if nSamples == 1 {
-			parsed, err = prompt.ParseResponse(responses[0].Content)
-		} else {
-			contents := make([]string, len(responses))
-			for i, r := range responses {
-				contents[i] = r.Content
-			}
-			parsed, err = prompt.SelfConsistency(contents)
-		}
-		if err != nil {
-			parseSpan.SetErr(err)
-			parseSpan.End()
-			itSpan.SetInt("candidates", 0)
-			itSpan.SetInt("kept", 0)
-			itSpan.End()
-			parseFailures++
-			pm.parseFailures.Inc()
-			pm.lfsPerIter.Observe(0)
-			if logDebug {
-				o.Logger.LogAttrs(ctx, slog.LevelDebug, "parse failure",
-					slog.Int("iteration", it), slog.Int("query_id", id),
-					slog.String("error", err.Error()))
-			}
-			continue
-		}
-		parseSpan.End()
-
-		filterSpan := itSpan.Child("filter")
-		kept := 0
-		for _, kw := range parsed.Keywords {
-			if f, _ := chain.Offer(kw, parsed.Label); f != nil {
-				kept++
+					it, err, l.failedIterations, budget)
 			}
 		}
-		filterSpan.End()
-		itSpan.SetInt("candidates", int64(len(parsed.Keywords)))
-		itSpan.SetInt("kept", int64(kept))
-		pm.lfsKept.AddInt(kept)
-		pm.lfsPerIter.Observe(float64(kept))
-
-		// Refresh the interim model behind model-driven samplers. A
-		// failed refresh degrades the sampler to stale (or no) scores
-		// rather than aborting the run, but never silently: the span
-		// records the error, the log says which iteration degraded, and
-		// eval_interim_failures_total counts it.
-		if needsInterim && (it+1)%cfg.UncertainRefreshEvery == 0 {
-			interimSpan := itSpan.Child("interim")
-			if endProba, lmProba, err := ev.interimTrainProba(chain.Accepted(), rng); err == nil {
-				state.TrainProba = endProba
-				state.LabelProba = lmProba
-			} else {
-				interimSpan.SetErr(err)
-				ev.em.interimFailures.Inc()
-				o.Logger.LogAttrs(ctx, slog.LevelWarn, "interim refresh failed",
-					slog.Int("iteration", it), slog.Int("query_id", id),
-					slog.String("error", err.Error()))
-			}
-			interimSpan.End()
-		}
-		itSpan.End()
-		if logDebug {
-			o.Logger.LogAttrs(ctx, slog.LevelDebug, "iteration",
-				slog.Int("iteration", it), slog.Int("query_id", id),
-				slog.Int("candidates", len(parsed.Keywords)), slog.Int("kept", kept),
-				slog.Int("prompt_tokens", promptTok), slog.Int("completion_tokens", completionTok))
+		if st.Exhausted {
+			break
 		}
 	}
 
 	if cfg.ReviseRejected {
 		reviseSpan := span.Child("revise")
-		rv := &reviser{
-			d: d, validIx: validIx, selector: selector,
-			style: style, model: model, meter: meter, cfg: &cfg,
-		}
-		prompts, added, err := rv.revise(ctx, chain, rng, cfg.MaxRevisions)
+		prompts, added, err := l.revise(ctx, model, rng)
 		reviseSpan.SetInt("prompts", int64(prompts))
 		reviseSpan.SetInt("added", int64(added))
 		if err != nil {
@@ -361,7 +166,7 @@ func RunContext(ctx context.Context, d *dataset.Dataset, cfg Config) (res *Resul
 	}
 
 	aggSpan := span.Child("aggregate")
-	res, err = ev.evaluate(chain.Accepted())
+	res, err = l.ev.evaluate(l.chain.Accepted())
 	if err != nil {
 		aggSpan.SetErr(err)
 		aggSpan.End()
@@ -369,10 +174,10 @@ func RunContext(ctx context.Context, d *dataset.Dataset, cfg Config) (res *Resul
 	}
 	res.Dataset = d.Name
 	res.Method = fmt.Sprintf("datasculpt-%s", cfg.Variant)
-	res.ParseFailures = parseFailures
-	res.FailedIterations = failedIterations
-	res.Rejections = chain.Rejections()
-	usage := meter.Snapshot()
+	res.ParseFailures = l.parseFailures
+	res.FailedIterations = l.failedIterations
+	res.Rejections = l.chain.Rejections()
+	usage := l.meter.Snapshot()
 	res.Calls = usage.Calls
 	res.PromptTokens = usage.PromptTokens
 	res.CompletionTokens = usage.CompletionTokens

@@ -8,23 +8,20 @@ import (
 	"datasculpt/internal/dataset"
 	"datasculpt/internal/lf"
 	"datasculpt/internal/llm"
-	"datasculpt/internal/prompt"
-	"datasculpt/internal/sampler"
-	"datasculpt/internal/textproc"
 )
 
-// Proposer is the headless incremental form of the pipeline's query
-// loop, built for the online growth daemon: instead of running
-// cfg.Iterations in one call, the caller drives one Step at a time and
-// journals each resulting ProposalStep. A killed caller resumes by
-// constructing a fresh Proposer over the same dataset/config and
-// Replaying the journaled steps — no LLM calls — before continuing
-// with live Steps, and the final LF set is byte-identical to the
-// uninterrupted run.
+// Proposer drives the pipeline's query-loop kernel (loop.go) under a
+// derived-seed/journal policy, built for the online growth daemon:
+// instead of running cfg.Iterations in one call, the caller drives one
+// Step at a time and journals each resulting ProposalStep. A killed
+// caller resumes by constructing a fresh Proposer over the same
+// dataset/config and Replaying the journaled steps — no LLM calls —
+// before continuing with live Steps, and the final LF set is
+// byte-identical to the uninterrupted run.
 //
 // That replay contract is why every per-iteration random choice is
-// derived, not threaded: Step i draws from an rng seeded by (Seed, i)
-// and prompts a model built by a per-iteration factory, so iteration
+// derived, not threaded: Step i draws from an rng and prompts a
+// simulated endpoint both seeded by (Seed, i), so iteration
 // i's outcome never depends on how many earlier iterations ran live
 // versus replayed. Model-driven samplers (uncertain, qbc) feed on
 // interim posteriors that only exist on live runs, so NewProposer
@@ -61,11 +58,11 @@ type ProposalStep struct {
 
 // ProposerOptions tunes a Proposer beyond its pipeline Config.
 type ProposerOptions struct {
-	// Model builds iteration i's endpoint. Nil selects a fresh
-	// llm.Simulated per iteration, seeded from (cfg.Seed, i) — fresh
-	// per iteration because the Simulated's rng advances per call, and
-	// replayed iterations make no calls.
-	Model func(iter int) (llm.ChatModel, error)
+	// WrapModel, when non-nil, wraps iteration i's endpoint: a fresh
+	// llm.Simulated seeded from (cfg.Seed, i) — fresh per iteration
+	// because the Simulated's rng advances per call, and replayed
+	// iterations make no calls. cfg.WrapModel wraps the result.
+	WrapModel func(iter int, m llm.ChatModel) llm.ChatModel
 	// Frozen is the parent LF set the proposer extends: seeded into the
 	// filter chain unfiltered (see lf.FilterChain.Seed) and counted
 	// apart from the newly proposed LFs.
@@ -76,23 +73,15 @@ type ProposerOptions struct {
 	QueryPoolStart int
 }
 
-// Proposer runs the select→prompt→parse→filter loop one resumable step
-// at a time. Not safe for concurrent use.
+// Proposer runs the query-loop kernel one resumable step at a time.
+// Not safe for concurrent use.
 type Proposer struct {
-	d      *dataset.Dataset
-	cfg    Config
+	*loop
 	opts   ProposerOptions
-	chain  *lf.FilterChain
-	state  *sampler.State
-	smp    sampler.Sampler
-	sel    prompt.ExampleSelector
-	ev     *evaluator
-	style  prompt.Style
 	frozen int
 
 	calls, promptTokens, completionTokens int
 	costUSD                               float64
-	parseFailures, failedIterations      int
 }
 
 // NewProposer builds a proposer over d with cfg's pipeline settings.
@@ -104,71 +93,21 @@ func NewProposer(d *dataset.Dataset, cfg Config, opts ProposerOptions) (*Propose
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	switch cfg.Sampler {
-	case "uncertain", "qbc":
+	if cfg.modelDrivenSampler() {
 		return nil, fmt.Errorf("core: sampler %q needs interim posteriors and cannot replay deterministically", cfg.Sampler)
-	}
-	smp, ok := sampler.ByName(cfg.Sampler)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown sampler %q", cfg.Sampler)
 	}
 	if opts.QueryPoolStart < 0 || opts.QueryPoolStart > len(d.Train) {
 		return nil, fmt.Errorf("core: query pool start %d out of range (train size %d)", opts.QueryPoolStart, len(d.Train))
 	}
-
-	feat := textproc.NewFeaturizer(cfg.FeatureDim)
-	feat.Workers = cfg.Parallelism
-	if err := feat.Fit(dataset.FeatureCorpus(d.Train)); err != nil {
-		return nil, fmt.Errorf("core: fitting featurizer: %w", err)
-	}
-	trainIx := lf.NewIndex(d.Train)
-	validIx := lf.NewIndex(d.Valid)
-	chain := lf.NewFilterChainIndexed(d, cfg.Filters, trainIx, validIx)
-	chain.Seed(opts.Frozen)
-
-	var sel prompt.ExampleSelector
-	var err error
-	if cfg.usesKATE() {
-		sel, err = prompt.NewKATEWithOptions(d, feat, prompt.KATEOptions{
-			ANNThreshold:        cfg.ANNThreshold,
-			CandidateMultiplier: cfg.ANNMultiplier,
-			Seed:                cfg.Seed + 31,
-			Workers:             cfg.Parallelism,
-		})
-	} else {
-		sel, err = prompt.NewClassBalanced(d, cfg.Shots, cfg.Seed+7)
-	}
+	l, err := newLoop(d, cfg, nil)
 	if err != nil {
 		return nil, err
 	}
-
-	state := &sampler.State{
-		Dataset:    d,
-		Used:       make([]bool, len(d.Train)),
-		TrainIndex: trainIx,
-		ValidIndex: validIx,
-		Workers:    cfg.Parallelism,
-	}
+	l.chain.Seed(opts.Frozen)
 	for i := 0; i < opts.QueryPoolStart; i++ {
-		state.Used[i] = true
+		l.state.Used[i] = true
 	}
-
-	p := &Proposer{
-		d: d, cfg: cfg, opts: opts, chain: chain, state: state,
-		smp: smp, sel: sel, frozen: len(chain.Accepted()),
-		ev: &evaluator{
-			d: d, feat: feat, trainIx: trainIx, validIx: validIx, cfg: cfg,
-			workers: cfg.Parallelism, em: newEvalMetrics(nil),
-		},
-		style: prompt.Base,
-	}
-	if cfg.usesCoT() {
-		p.style = prompt.CoT
-	}
-	if cfg.Sampler == "coreset" {
-		state.TrainVecs = p.ev.trainVectors()
-	}
-	return p, nil
+	return &Proposer{loop: l, opts: opts, frozen: len(l.chain.Accepted())}, nil
 }
 
 // iterRNG derives iteration i's rng: a fixed function of (Seed, i), so
@@ -178,20 +117,15 @@ func (p *Proposer) iterRNG(iter int) *rand.Rand {
 	return rand.New(rand.NewSource(p.cfg.Seed + 7919*int64(iter+1)))
 }
 
-// iterModel builds iteration i's endpoint and applies cfg.WrapModel.
+// iterModel builds iteration i's endpoint and applies the wrap hooks.
 func (p *Proposer) iterModel(iter int) (llm.ChatModel, error) {
-	var m llm.ChatModel
-	if p.opts.Model != nil {
-		var err error
-		if m, err = p.opts.Model(iter); err != nil {
-			return nil, err
-		}
-	} else {
-		sim, err := llm.NewSimulated(p.cfg.Model, p.d, p.cfg.Seed+101+1000003*int64(iter))
-		if err != nil {
-			return nil, err
-		}
-		m = sim
+	sim, err := llm.NewSimulated(p.cfg.Model, p.d, p.cfg.Seed+101+1000003*int64(iter))
+	if err != nil {
+		return nil, err
+	}
+	var m llm.ChatModel = sim
+	if p.opts.WrapModel != nil {
+		m = p.opts.WrapModel(iter, m)
 	}
 	if p.cfg.WrapModel != nil {
 		m = p.cfg.WrapModel(m)
@@ -199,50 +133,27 @@ func (p *Proposer) iterModel(iter int) (llm.ChatModel, error) {
 	return m, nil
 }
 
-// Step runs one live iteration: sample a query, prompt the model, parse
-// and filter the proposal. The returned step is the journal record; an
-// error is returned only for aborts (context cancellation, model
-// construction failure) — an LLM call that fails after retries is a
-// recorded degraded step, because the growth daemon's budget, unlike a
-// paper run, must survive flaky endpoints.
+// Step runs one live iteration of the kernel with iteration iter's
+// derived rng and model, and returns the journal record. An error is
+// returned only for aborts (context cancellation, model construction
+// failure) — an LLM call that fails after retries is a recorded
+// degraded step, because the growth daemon's budget, unlike a paper
+// run, must survive flaky endpoints. The obs bundle and parent span on
+// ctx receive the kernel's spans and pipeline_* metrics.
 func (p *Proposer) Step(ctx context.Context, iter int) (*ProposalStep, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: proposer iteration %d: %w", iter, err)
-	}
-	rng := p.iterRNG(iter)
-	st := &ProposalStep{Iter: iter, QueryID: -1}
-
-	id := p.smp.Next(p.state, rng)
-	if id < 0 {
-		st.Exhausted = true
-		return st, nil
-	}
-	p.state.Used[id] = true
-	st.QueryID = id
-
 	model, err := p.iterModel(iter)
 	if err != nil {
 		return nil, fmt.Errorf("core: proposer iteration %d: %w", iter, err)
 	}
-	meter := llm.NewMeter(model)
-	query := p.d.Train[id]
-	demos := p.sel.Select(query, p.cfg.Shots)
-	msgs := prompt.Render(p.style, p.d, demos, query)
-
-	responses, err := model.Chat(ctx, msgs, p.cfg.Temperature, p.cfg.samplesPerQuery())
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, fmt.Errorf("core: proposer iteration %d: %w", iter, err)
-		}
-		st.Failed = true
-		p.failedIterations++
-		return st, nil
+	p.meter = llm.NewMeter(model)
+	st, err := p.iterate(ctx, iter, p.iterRNG(iter), model)
+	if err != nil && !st.Failed {
+		return nil, fmt.Errorf("core: proposer iteration %d: %w", iter, err)
 	}
-	meter.Record(responses)
-	snap := meter.Snapshot()
+	snap := p.meter.Snapshot()
 	st.Calls = snap.Calls
 	st.PromptTokens = snap.PromptTokens
 	st.CompletionTokens = snap.CompletionTokens
@@ -251,30 +162,7 @@ func (p *Proposer) Step(ctx context.Context, iter int) (*ProposalStep, error) {
 	p.promptTokens += snap.PromptTokens
 	p.completionTokens += snap.CompletionTokens
 	p.costUSD += snap.CostUSD
-
-	var parsed *prompt.Parsed
-	if n := p.cfg.samplesPerQuery(); n == 1 {
-		parsed, err = prompt.ParseResponse(responses[0].Content)
-	} else {
-		contents := make([]string, len(responses))
-		for i, r := range responses {
-			contents[i] = r.Content
-		}
-		parsed, err = prompt.SelfConsistency(contents)
-	}
-	if err != nil {
-		st.ParseFailed = true
-		p.parseFailures++
-		return st, nil
-	}
-	st.Keywords = parsed.Keywords
-	st.Label = parsed.Label
-	for _, kw := range parsed.Keywords {
-		if f, _ := p.chain.Offer(kw, parsed.Label); f != nil {
-			st.Kept++
-		}
-	}
-	return st, nil
+	return &st, nil
 }
 
 // Replay applies a journaled step without an LLM call: the query id is
@@ -302,13 +190,7 @@ func (p *Proposer) Replay(st *ProposalStep) error {
 		p.parseFailures++
 		return nil
 	}
-	kept := 0
-	for _, kw := range st.Keywords {
-		if f, _ := p.chain.Offer(kw, st.Label); f != nil {
-			kept++
-		}
-	}
-	if kept != st.Kept {
+	if kept := p.offer(st.Keywords, st.Label); kept != st.Kept {
 		return fmt.Errorf("core: replaying iteration %d: filter chain kept %d of %d keywords, journal says %d — state diverged",
 			st.Iter, kept, len(st.Keywords), st.Kept)
 	}
@@ -345,4 +227,4 @@ func (p *Proposer) Evaluate() (*Result, error) {
 }
 
 // Close releases the evaluator's vote matrix.
-func (p *Proposer) Close() { p.ev.close() }
+func (p *Proposer) Close() { p.close() }

@@ -96,37 +96,6 @@ func cellKey(method, ds string, seed int) string {
 	return fmt.Sprintf("%s|%s|%d", method, ds, seed)
 }
 
-// CheckpointWriter appends cell records to a JSONL file via the shared
-// ckpt machinery: appends are mutex-serialized and issued as one Write
-// each, then synced, so concurrent workers cannot interleave bytes and
-// a crash cannot lose a completed line.
-type CheckpointWriter struct {
-	w *ckpt.Writer
-}
-
-// OpenCheckpoint opens (creating if needed) a checkpoint file for
-// appending.
-func OpenCheckpoint(path string) (*CheckpointWriter, error) {
-	w, err := ckpt.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("experiment: opening checkpoint: %w", err)
-	}
-	return &CheckpointWriter{w: w}, nil
-}
-
-// Append writes one record as a single JSONL line and syncs it to disk.
-func (w *CheckpointWriter) Append(rec CellRecord) error {
-	if err := w.w.Append(rec); err != nil {
-		return fmt.Errorf("experiment: checkpoint: %w", err)
-	}
-	return nil
-}
-
-// Close closes the underlying file.
-func (w *CheckpointWriter) Close() error {
-	return w.w.Close()
-}
-
 // LoadCheckpoint reads every intact record of a checkpoint file. A
 // missing file is an empty checkpoint (first run of a -resume sweep),
 // and a torn or malformed final line — the footprint of a crash mid-

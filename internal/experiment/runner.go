@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"datasculpt/internal/baselines"
+	"datasculpt/internal/ckpt"
 	"datasculpt/internal/core"
 	"datasculpt/internal/dataset"
 	"datasculpt/internal/lf"
@@ -194,14 +195,14 @@ func sweep(ctx context.Context, o Options, title string, methods []string, run c
 		}
 	}
 
-	var ckpt *CheckpointWriter
+	var journal *ckpt.Writer
 	if o.Checkpoint != "" {
-		w, err := OpenCheckpoint(o.Checkpoint)
+		w, err := ckpt.Open(o.Checkpoint)
 		if err != nil {
 			return nil, err
 		}
 		defer w.Close()
-		ckpt = w
+		journal = w
 		// write restored cells through to a fresh checkpoint file so it
 		// is self-contained; appending to the file we resumed from would
 		// duplicate its lines
@@ -209,7 +210,7 @@ func sweep(ctx context.Context, o Options, title string, methods []string, run c
 			for i, c := range cells {
 				if resumed[i] {
 					rec := CellRecord{Grid: title, Method: c.method, Dataset: c.ds, Seed: c.seed, Result: NewCellResult(results[i])}
-					if err := ckpt.Append(rec); err != nil {
+					if err := journal.Append(rec); err != nil {
 						return nil, err
 					}
 				}
@@ -257,9 +258,9 @@ func sweep(ctx context.Context, o Options, title string, methods []string, run c
 			if !o.KeepGoing {
 				fail(err)
 			}
-		} else if ckpt != nil {
+		} else if journal != nil {
 			rec := CellRecord{Grid: title, Method: c.method, Dataset: c.ds, Seed: c.seed, Result: NewCellResult(results[i])}
-			if aerr := ckpt.Append(rec); aerr != nil {
+			if aerr := journal.Append(rec); aerr != nil {
 				// a checkpoint problem shouldn't void the sweep itself —
 				// the cell is computed; only resumability is degraded
 				o.Obs.Logger.LogAttrs(ctx, slog.LevelWarn, "checkpoint append failed",

@@ -232,8 +232,9 @@ func (d *Daemon) loadOrStartCycle(cycleDir string) (*manifest, error) {
 
 // propose replays the journaled steps of this cycle, then runs live
 // iterations up to the manifest budget, journaling each before moving
-// on.
-func (d *Daemon) propose(ctx context.Context, span obs.Span, man *manifest, gd *dataset.Dataset, cycleDir string) (*core.Proposer, []core.ProposalStep, error) {
+// on. Each live step runs under its own growth.step span, which the
+// query-loop kernel hangs its iteration and stage spans from.
+func (d *Daemon) propose(ctx context.Context, span obs.Span, man *manifest, gd *dataset.Dataset, cycleDir string) (_ *core.Proposer, _ []core.ProposalStep, err error) {
 	pcfg := d.cfg.Pipeline
 	pcfg.Seed = man.Seed
 	pcfg.EndModel.Seed = man.Seed + 1
@@ -247,29 +248,26 @@ func (d *Daemon) propose(ctx context.Context, span obs.Span, man *manifest, gd *
 		QueryPoolStart: len(d.cfg.Base.Train),
 	}
 	if d.cfg.WrapModel != nil {
-		opts.Model = func(iter int) (llm.ChatModel, error) {
-			sim, err := llm.NewSimulated(pcfg.Model, gd, pcfg.Seed+101+1000003*int64(iter))
-			if err != nil {
-				return nil, err
-			}
-			return d.cfg.WrapModel(cycle, iter, sim), nil
-		}
+		opts.WrapModel = func(iter int, m llm.ChatModel) llm.ChatModel { return d.cfg.WrapModel(cycle, iter, m) }
 	}
 	prop, err := core.NewProposer(gd, pcfg, opts)
 	if err != nil {
 		return nil, nil, err
 	}
+	defer func() {
+		if err != nil {
+			prop.Close()
+		}
+	}()
 
 	stepsPath := filepath.Join(cycleDir, "steps.jsonl")
 	steps, err := ckpt.Load[core.ProposalStep](stepsPath, nil)
 	if err != nil {
-		prop.Close()
 		return nil, nil, err
 	}
 	exhausted := false
 	for i := range steps {
 		if err := prop.Replay(&steps[i]); err != nil {
-			prop.Close()
 			return nil, nil, err
 		}
 		exhausted = exhausted || steps[i].Exhausted
@@ -278,29 +276,24 @@ func (d *Daemon) propose(ctx context.Context, span obs.Span, man *manifest, gd *
 	if len(steps) < man.Budget && !exhausted {
 		w, err := ckpt.Open(stepsPath)
 		if err != nil {
-			prop.Close()
 			return nil, nil, err
 		}
+		defer w.Close() // error paths; the success path checks Close below
+		ctx = obs.NewContext(ctx, d.o)
 		for it := len(steps); it < man.Budget; it++ {
 			stepSpan := span.Child("growth.step")
-			st, err := prop.Step(ctx, it)
+			st, err := prop.Step(obs.ContextWithSpan(ctx, stepSpan), it)
 			if err != nil {
 				stepSpan.SetErr(err)
 				stepSpan.End()
-				w.Close()
-				prop.Close()
 				return nil, nil, err
 			}
 			stepSpan.End()
 			if err := w.Append(st); err != nil {
-				w.Close()
-				prop.Close()
 				return nil, nil, err
 			}
 			steps = append(steps, *st)
 			if err := d.checkpoint(fmt.Sprintf("step-%d", it)); err != nil {
-				w.Close()
-				prop.Close()
 				return nil, nil, err
 			}
 			if st.Exhausted {
@@ -308,12 +301,10 @@ func (d *Daemon) propose(ctx context.Context, span obs.Span, man *manifest, gd *
 			}
 		}
 		if err := w.Close(); err != nil {
-			prop.Close()
 			return nil, nil, err
 		}
 	}
 	if err := d.checkpoint("proposed"); err != nil {
-		prop.Close()
 		return nil, nil, err
 	}
 	return prop, steps, nil
